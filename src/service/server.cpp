@@ -152,6 +152,131 @@ Response Server::RunAnalysis(
   return OkResponse(AnalysisArgs(outcome, micros), outcome.report);
 }
 
+Response Server::RunCountedAnalysis(
+    const Request& request, std::vector<mbpta::PathObservation> observations,
+    Clock::time_point deadline, bool has_deadline) {
+  // Pool tasks must not leak exceptions: ThreadPool::Wait rethrows
+  // captured ones on whichever thread waits next, which would escape a
+  // connection thread and terminate the daemon.
+  Response response;
+  try {
+    response =
+        RunAnalysis(request, std::move(observations), deadline, has_deadline);
+  } catch (const std::exception& e) {
+    response = ErrResponse("internal", e.what());
+  } catch (...) {
+    response = ErrResponse("internal", "unknown analysis failure");
+  }
+  metrics_.CountRequest(RequestKind::kAnalyze, response.ok);
+  return response;
+}
+
+std::optional<Response> Server::ServeFromCache(AnalyzeTicket& ticket) {
+  SPTA_OBS_SPAN("service", "cache_probe");
+  const auto probe_start = Clock::now();
+  AnalysisOutcome cached;
+  const bool hit = engine_.TryServeCached(
+      ticket.observations, AnalysisConfig::FromArgs(ticket.request.args),
+      &cached);
+  ticket.key = cached.key;
+  if (!hit) return std::nullopt;
+  const double micros =
+      std::chrono::duration<double, std::micro>(Clock::now() - probe_start)
+          .count();
+  metrics_.RecordAnalyzeLatency(micros, /*cache_hit=*/true);
+  metrics_.CountRequest(RequestKind::kAnalyze, true);
+  return OkResponse(AnalysisArgs(cached, micros), cached.report);
+}
+
+void Server::DispatchAnalyze(AnalyzeTicket ticket) {
+  // Warm fast path: a request whose result is already cached is answered
+  // inline on the reader thread — it never occupies a worker slot, so
+  // cache hits stay cheap even while the pool is saturated with cold
+  // analyses. A probe miss is not double-counted (see
+  // ResultCache::LookupIfPresent); the worker's Lookup scores it.
+  if (auto warm = ServeFromCache(ticket)) {
+    ticket.writer->Complete(ticket.id, std::move(*warm));
+    return;
+  }
+  if (!TryAcquireAnalyzeSlot()) {
+    metrics_.CountBusyRejection();
+    metrics_.CountRequest(RequestKind::kAnalyze, false);
+    ticket.writer->Complete(
+        ticket.id, ErrResponse("busy", "analysis queue full, retry later"));
+    return;
+  }
+  // Key-ordered dispatch: the first miss on a key leads and runs the
+  // analysis; an identical request arriving while it is pending parks
+  // behind it (keeping its slot) rather than racing it to the same miss.
+  const std::uint64_t key = ticket.key;
+  {
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    const auto [pending, leader] = pending_analyses_.try_emplace(key);
+    if (!leader) {
+      pending->second.push_back(std::move(ticket));
+      return;
+    }
+  }
+  // Queue wait: enqueue → worker pickup. The metric records always (it is
+  // the service's backpressure signal); the span only when the tracer
+  // runs, as a cross-thread complete event.
+  const auto enqueued = Clock::now();
+  const std::uint64_t enqueued_ns =
+      obs::Tracer::Enabled() ? obs::Tracer::NowNs() : 0;
+  pool_.Submit([this, key, ticket = std::move(ticket), enqueued,
+                enqueued_ns]() mutable {
+    // Cross-thread hop: re-install the request's context on the worker so
+    // queue_wait and the analysis spans stay in its tree.
+    {
+      obs::ScopedTraceContext trace_scope(ticket.request.trace);
+      metrics_.RecordQueueWait(
+          std::chrono::duration<double, std::micro>(Clock::now() - enqueued)
+              .count());
+      if (enqueued_ns != 0 && obs::Tracer::Enabled()) {
+        obs::Tracer::Instance().RecordComplete("service", "queue_wait",
+                                               enqueued_ns,
+                                               obs::Tracer::NowNs(), "id",
+                                               ticket.id);
+      }
+      Response response =
+          RunCountedAnalysis(ticket.request, std::move(ticket.observations),
+                             ticket.deadline, ticket.has_deadline);
+      ReleaseAnalyzeSlot();
+      ticket.writer->Complete(ticket.id, std::move(response));
+    }
+    AnswerFollowers(key);
+  });
+}
+
+void Server::AnswerFollowers(std::uint64_t key) {
+  for (;;) {
+    std::vector<AnalyzeTicket> followers;
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      const auto pending = pending_analyses_.find(key);
+      if (pending->second.empty()) {
+        pending_analyses_.erase(pending);
+        return;
+      }
+      followers.swap(pending->second);
+    }
+    // The key stays claimed while its followers are answered, so one that
+    // must run its own analysis (the leader answered ERR, or its entry was
+    // already evicted) is again the only cold run of that key.
+    for (AnalyzeTicket& follower : followers) {
+      obs::ScopedTraceContext trace_scope(follower.request.trace);
+      std::optional<Response> response = ServeFromCache(follower);
+      if (!response) {
+        response = RunCountedAnalysis(follower.request,
+                                      std::move(follower.observations),
+                                      follower.deadline, follower.has_deadline);
+      }
+      ReleaseAnalyzeSlot();
+      follower.writer->Complete(follower.id, std::move(*response));
+    }
+  }
+}
+
 Response Server::HandleOpen(const Request& request) {
   std::string error;
   if (!sessions_.Open(request.args.GetString("session"), &error)) {
@@ -358,19 +483,8 @@ Response Server::Execute(const Request& request) {
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double, std::milli>(
                                has_deadline ? deadline_ms : 0.0));
-    // Same exception discipline as the pooled path: a shard thread must
-    // never die on untrusted input.
-    Response response;
-    try {
-      response =
-          RunAnalysis(request, std::move(observations), deadline, has_deadline);
-    } catch (const std::exception& e) {
-      response = ErrResponse("internal", e.what());
-    } catch (...) {
-      response = ErrResponse("internal", "unknown analysis failure");
-    }
-    metrics_.CountRequest(request.kind, response.ok);
-    return response;
+    return RunCountedAnalysis(request, std::move(observations), deadline,
+                              has_deadline);
   }
   Response response = HandleInline(request);
   metrics_.CountRequest(request.kind, response.ok);
@@ -425,87 +539,25 @@ bool Server::ServeStream(std::istream& in, std::ostream& out) {
     }
 
     if (request.kind == RequestKind::kAnalyze) {
-      std::vector<mbpta::PathObservation> observations;
+      AnalyzeTicket ticket;
       std::string collect_error;
-      if (!CollectObservations(request, &observations, &collect_error)) {
+      if (!CollectObservations(request, &ticket.observations,
+                               &collect_error)) {
         metrics_.CountRequest(request.kind, false);
         writer.Complete(id, ErrResponse("samples", collect_error));
         continue;
       }
-      // Warm fast path: a request whose result is already cached is
-      // answered inline on the reader thread — it never occupies a worker
-      // slot, so cache hits stay cheap even while the pool is saturated
-      // with cold analyses. A probe miss is not double-counted (see
-      // ResultCache::LookupIfPresent); the worker's Lookup scores it.
-      {
-        SPTA_OBS_SPAN("service", "cache_probe");
-        const auto probe_start = Clock::now();
-        AnalysisOutcome cached;
-        if (engine_.TryServeCached(
-                observations, AnalysisConfig::FromArgs(request.args),
-                &cached)) {
-          const double micros = std::chrono::duration<double, std::micro>(
-                                    Clock::now() - probe_start)
-                                    .count();
-          metrics_.RecordAnalyzeLatency(micros, /*cache_hit=*/true);
-          metrics_.CountRequest(request.kind, true);
-          writer.Complete(id, OkResponse(AnalysisArgs(cached, micros),
-                                         cached.report));
-          continue;
-        }
-      }
-      if (!TryAcquireAnalyzeSlot()) {
-        metrics_.CountBusyRejection();
-        metrics_.CountRequest(request.kind, false);
-        writer.Complete(
-            id, ErrResponse("busy", "analysis queue full, retry later"));
-        continue;
-      }
       const double deadline_ms =
           request.args.GetDouble("deadline_ms", options_.default_deadline_ms);
-      const bool has_deadline = deadline_ms > 0.0;
-      const Clock::time_point deadline =
+      ticket.has_deadline = deadline_ms > 0.0;
+      ticket.deadline =
           Clock::now() +
           std::chrono::duration_cast<Clock::duration>(
               std::chrono::duration<double, std::milli>(deadline_ms));
-      // Queue wait: enqueue → worker pickup. The metric records always
-      // (it is the service's backpressure signal); the span only when the
-      // tracer runs, as a cross-thread complete event.
-      const auto enqueued = Clock::now();
-      const std::uint64_t enqueued_ns =
-          obs::Tracer::Enabled() ? obs::Tracer::NowNs() : 0;
-      pool_.Submit([this, id, &writer, request = std::move(request),
-                    observations = std::move(observations), deadline,
-                    has_deadline, enqueued, enqueued_ns]() mutable {
-        // Cross-thread hop: re-install the request's context on the
-        // worker so queue_wait and the analysis spans stay in its tree.
-        obs::ScopedTraceContext trace_scope(request.trace);
-        metrics_.RecordQueueWait(
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      enqueued)
-                .count());
-        if (enqueued_ns != 0 && obs::Tracer::Enabled()) {
-          obs::Tracer::Instance().RecordComplete("service", "queue_wait",
-                                                 enqueued_ns,
-                                                 obs::Tracer::NowNs(), "id",
-                                                 id);
-        }
-        // Worker tasks must not leak exceptions: ThreadPool::Wait
-        // rethrows captured ones on whichever thread waits next, which
-        // would escape a connection thread and terminate the daemon.
-        Response response;
-        try {
-          response = RunAnalysis(request, std::move(observations), deadline,
-                                 has_deadline);
-        } catch (const std::exception& e) {
-          response = ErrResponse("internal", e.what());
-        } catch (...) {
-          response = ErrResponse("internal", "unknown analysis failure");
-        }
-        metrics_.CountRequest(RequestKind::kAnalyze, response.ok);
-        ReleaseAnalyzeSlot();
-        writer.Complete(id, std::move(response));
-      });
+      ticket.id = id;
+      ticket.writer = &writer;
+      ticket.request = std::move(request);
+      DispatchAnalyze(std::move(ticket));
       continue;
     }
 

@@ -21,6 +21,15 @@
 //     by dropping requests whose deadline expired while queued. The
 //     sample snapshot is taken at ACCEPT time, so an analysis sees
 //     exactly the appends that preceded it on its stream.
+//   * ANALYZE dispatch is ordered by content address (AnalysisKey). The
+//     reader claims the key of every analysis it sends to the pool before
+//     it reads the next frame. An identical ANALYZE accepted while that
+//     analysis is pending, on any stream of this Server, is parked behind
+//     it instead of starting a second cold run; once the leader has
+//     answered, the follower is served from the cache as a hit (or runs
+//     its own analysis if the leader inserted nothing). So `cache=` does
+//     not depend on the worker count or on scheduling. Distinct keys still
+//     run concurrently, and the reader never blocks on a parked request.
 //   * Responses are written strictly in request order per stream (a small
 //     reorder buffer); SHUTDOWN drains the pool before acknowledging, so
 //     every accepted request gets its response before the daemon exits —
@@ -36,8 +45,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -181,6 +192,38 @@ class Server {
                        std::vector<mbpta::PathObservation> observations,
                        std::chrono::steady_clock::time_point deadline,
                        bool has_deadline);
+  /// RunAnalysis that never throws (an exception becomes ERR internal) and
+  /// counts the request into the metrics. A worker or shard thread must
+  /// never die on untrusted input.
+  Response RunCountedAnalysis(const Request& request,
+                              std::vector<mbpta::PathObservation> observations,
+                              std::chrono::steady_clock::time_point deadline,
+                              bool has_deadline);
+
+  /// An accepted ANALYZE on its way to an answer: everything the warm
+  /// path, a pool worker or a parked follower needs to finish it.
+  struct AnalyzeTicket {
+    std::uint64_t id = 0;
+    OrderedWriter* writer = nullptr;
+    Request request;
+    std::vector<mbpta::PathObservation> observations;
+    std::chrono::steady_clock::time_point deadline;
+    bool has_deadline = false;
+    /// AnalysisKey of (observations, config); set by ServeFromCache.
+    std::uint64_t key = 0;
+  };
+
+  /// Reader-thread half of ANALYZE: answers from the cache, parks the
+  /// ticket behind a pending identical analysis, or claims the key and
+  /// submits the analysis to the pool.
+  void DispatchAnalyze(AnalyzeTicket ticket);
+  /// Warm path: the cached answer (counted as a hit) or nullopt. Sets
+  /// ticket.key either way.
+  std::optional<Response> ServeFromCache(AnalyzeTicket& ticket);
+  /// Runs on the leader's worker after it answered: serves every ticket
+  /// parked on `key` (from the cache, or by its own analysis if the
+  /// leader inserted nothing), then releases the key.
+  void AnswerFollowers(std::uint64_t key);
 
   /// Parses the request's sample source: inline payload or session
   /// snapshot. False → `error` is the ERR message.
@@ -199,15 +242,25 @@ class Server {
   AnalysisEngine engine_;
   std::unique_ptr<PersistentResultCache> store_;
   ServiceMetrics metrics_;
-  ThreadPool pool_;
 
   std::mutex slots_mutex_;
   std::size_t analyses_in_flight_ = 0;
+
+  /// AnalysisKey of every ANALYZE running on the pool → the identical
+  /// requests parked behind it, in arrival order.
+  std::mutex pending_mutex_;
+  std::unordered_map<std::uint64_t, std::vector<AnalyzeTicket>>
+      pending_analyses_;
 
   std::atomic<bool> shutdown_{false};
   std::mutex connections_mutex_;
   std::vector<int> connection_fds_;
   int listen_fd_ = -1;
+
+  /// Declared last so it is destroyed first: its destructor joins the
+  /// workers, and a worker may still be answering parked followers after
+  /// the stream that submitted its task has drained and returned.
+  ThreadPool pool_;
 };
 
 }  // namespace spta::service

@@ -4,6 +4,7 @@
 // campaign at an arbitrary point, --resume it, and the samples (hence the
 // pWCET) are bit-identical to an uninterrupted campaign.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -26,8 +27,12 @@ using namespace spta;
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Private to the running case and process: ctest runs each case as
+    // its own process, concurrently under -j, and a fixture address is
+    // not unique across processes.
     path_ = ::testing::TempDir() + "spta_ckpt_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".ckpt";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".ckpt";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -2,6 +2,7 @@
 // CSV -> analyze/convergence round trips, usage errors, exit codes.
 // The binary path is injected at build time via SPTA_CLI_PATH.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,10 +31,19 @@ std::string Slurp(const std::string& path) {
 
 class CliBinaryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    csv_ = ::testing::TempDir() + "spta_cli_test_samples.csv";
-  }
+  void SetUp() override { csv_ = TempPath("samples.csv"); }
   void TearDown() override { std::remove(csv_.c_str()); }
+
+  // A file name private to the running test case and process. ctest runs
+  // every case as its own process, concurrently under -j, so a fixed name
+  // under TempDir() would let parallel cases overwrite each other's files.
+  static std::string TempPath(const std::string& name) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "spta_cli_" + info->name() + "_" +
+           std::to_string(::getpid()) + "_" + name;
+  }
+
   std::string csv_;
 };
 
@@ -57,9 +67,9 @@ TEST_F(CliBinaryTest, CampaignWritesWellFormedCsv) {
 // trace must be a Chrome/Perfetto trace_event document, and the counter
 // CSV must carry one row per run plus the aggregate JSON sidecar.
 TEST_F(CliBinaryTest, CampaignObsFlagsProduceTraceAndCounters) {
-  const std::string trace_json = ::testing::TempDir() + "spta_cli_trace.json";
-  const std::string counters = ::testing::TempDir() + "spta_cli_counters.csv";
-  const std::string plain_csv = ::testing::TempDir() + "spta_cli_plain.csv";
+  const std::string trace_json = TempPath("trace.json");
+  const std::string counters = TempPath("counters.csv");
+  const std::string plain_csv = TempPath("plain.csv");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 40 --seed 7 --output " +
                    csv_ + " --trace-out " + trace_json + " --counters-out " +
                    counters),
@@ -94,7 +104,7 @@ TEST_F(CliBinaryTest, AnalyzeRoundTripSucceeds) {
   ASSERT_EQ(RunCli("campaign --platform rand --runs 250 --seed 9 --output " +
                    csv_),
             0);
-  const std::string out = ::testing::TempDir() + "spta_cli_analyze.txt";
+  const std::string out = TempPath("analyze.txt");
   EXPECT_EQ(RunCli("analyze --input " + csv_ + " --per-path", out), 0);
   const std::string report = Slurp(out);
   EXPECT_NE(report.find("Ljung-Box"), std::string::npos);
@@ -115,10 +125,9 @@ TEST_F(CliBinaryTest, AnalyzeRejectsMissingFile) {
 // --batch-lanes must not perturb the sample: the batched CSV is
 // byte-identical to the serial runner's, for the checkpointed path too.
 TEST_F(CliBinaryTest, BatchLanesCsvIsByteIdenticalToSerial) {
-  const std::string batched = ::testing::TempDir() + "spta_cli_batched.csv";
-  const std::string serial_ctr = ::testing::TempDir() + "spta_cli_serial_ctr";
-  const std::string batched_ctr =
-      ::testing::TempDir() + "spta_cli_batched_ctr";
+  const std::string batched = TempPath("batched.csv");
+  const std::string serial_ctr = TempPath("serial_ctr");
+  const std::string batched_ctr = TempPath("batched_ctr");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 48 --seed 11 "
                    "--scenarios 6 --jobs 2 --counters-out " +
                    serial_ctr + " --output " + csv_),
@@ -151,7 +160,7 @@ TEST_F(CliBinaryTest, ConvergenceRunsOnCampaignOutput) {
   ASSERT_EQ(RunCli("campaign --platform rand --runs 450 --seed 4 --output " +
                    csv_),
             0);
-  const std::string out = ::testing::TempDir() + "spta_cli_conv.txt";
+  const std::string out = TempPath("conv.txt");
   const int rc = RunCli(
       "convergence --input " + csv_ + " --initial 150 --step 150 --tol 0.05",
       out);

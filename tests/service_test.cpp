@@ -427,6 +427,125 @@ TEST(ServerPipeTest, CacheHitOnIdenticalResubmission) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
+// Regression for the multi-worker race: the first ANALYZE is held on its
+// worker (debug_sleep_ms is not part of the content address) so its twin
+// is read while it is still pending. With four workers the twin used to
+// start a second cold analysis and answer `miss`; it must wait for the
+// leader and be served from the cache, on any core count.
+TEST(ServerPipeTest, IdenticalAnalyzeWaitsForPendingTwin) {
+  service::ServerOptions options;
+  options.workers = 4;
+  options.enable_debug_hooks = true;
+  service::Server server(options);
+  const auto obs = SyntheticSample(240, 11);
+
+  service::Args slow;
+  slow.Set("require_iid", "0");
+  slow.SetDouble("debug_sleep_ms", 200.0);
+  service::Args twin;
+  twin.Set("require_iid", "0");
+  const auto responses = RunScript(
+      server, {AnalyzeInlineRequest(obs, slow), AnalyzeInlineRequest(obs, twin),
+               MakeRequest(service::RequestKind::kShutdown)});
+  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_TRUE(responses[0].ok) << responses[0].payload;
+  ASSERT_TRUE(responses[1].ok) << responses[1].payload;
+  EXPECT_EQ(responses[0].args.GetString("cache"), "miss");
+  EXPECT_EQ(responses[1].args.GetString("cache"), "hit");
+  EXPECT_EQ(responses[0].args.GetString("key"),
+            responses[1].args.GetString("key"));
+  EXPECT_EQ(responses[0].args.GetString("pwcet"),
+            responses[1].args.GetString("pwcet"));
+  EXPECT_EQ(responses[0].payload, responses[1].payload);
+
+  const auto stats = server.engine().cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+// The same ordering holds across streams of one Server: a twin sent on a
+// second connection while the first stream's analysis runs is a hit.
+TEST(ServerPipeTest, IdenticalAnalyzeOnAnotherStreamWaitsForPendingTwin) {
+  service::ServerOptions options;
+  options.workers = 4;
+  options.enable_debug_hooks = true;
+  service::Server server(options);
+  const auto obs = SyntheticSample(240, 12);
+
+  service::Args slow;
+  slow.Set("require_iid", "0");
+  slow.SetDouble("debug_sleep_ms", 300.0);
+  std::vector<service::Response> first;
+  std::thread leader(
+      [&] { first = RunScript(server, {AnalyzeInlineRequest(obs, slow)}); });
+  // A recorded queue wait means the leader's worker picked it up, so its
+  // key is claimed and it is sleeping inside the analysis.
+  while (server.metrics()
+             .Snapshot(server.engine().cache().stats())
+             .GetUint("queue_waits", 0) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  service::Args twin;
+  twin.Set("require_iid", "0");
+  const auto second = RunScript(server, {AnalyzeInlineRequest(obs, twin)});
+  leader.join();
+
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(first[0].ok) << first[0].payload;
+  ASSERT_TRUE(second[0].ok) << second[0].payload;
+  EXPECT_EQ(first[0].args.GetString("cache"), "miss");
+  EXPECT_EQ(second[0].args.GetString("cache"), "hit");
+  EXPECT_EQ(first[0].payload, second[0].payload);
+  const auto stats = server.engine().cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+// A leader that inserts nothing (here: refused with ERR deadline) must not
+// strand its twin: the follower runs its own analysis and is answered.
+TEST(ServerPipeTest, TwinOfRefusedLeaderRunsItsOwnAnalysis) {
+  service::ServerOptions options;
+  options.workers = 4;
+  options.enable_debug_hooks = true;
+  service::Server server(options);
+
+  service::Args slow;
+  slow.Set("require_iid", "0");
+  slow.SetDouble("debug_sleep_ms", 200.0);
+  service::Args tight;
+  tight.Set("require_iid", "0");
+  tight.SetDouble("deadline_ms", 1.0);  // expires queued behind the fillers
+  service::Args twin;
+  twin.Set("require_iid", "0");
+
+  // Four distinct slow analyses hold every worker, so the leader queues.
+  std::vector<service::Request> script;
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    script.push_back(AnalyzeInlineRequest(SyntheticSample(120, seed), slow));
+  }
+  const auto obs = SyntheticSample(120, 25);
+  script.push_back(AnalyzeInlineRequest(obs, tight));
+  script.push_back(AnalyzeInlineRequest(obs, twin));
+  script.push_back(MakeRequest(service::RequestKind::kShutdown));
+  const auto responses = RunScript(server, script);
+  ASSERT_EQ(responses.size(), script.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(responses[i].ok) << responses[i].payload;
+  }
+  EXPECT_FALSE(responses[4].ok);
+  EXPECT_EQ(responses[4].args.GetString("code"), "deadline");
+  ASSERT_TRUE(responses[5].ok) << responses[5].payload;
+  EXPECT_EQ(responses[5].args.GetString("cache"), "miss");
+  EXPECT_TRUE(responses[5].args.Has("pwcet"));
+  EXPECT_TRUE(responses[6].ok);
+
+  const auto stats = server.engine().cache().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(server.metrics().deadline_misses(), 1u);
+}
+
 TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
   service::ServerOptions options;
   options.cache_capacity = 2;
