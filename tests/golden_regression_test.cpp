@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <iterator>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -377,6 +378,11 @@ struct KernelUnderTest {
   std::function<trace::Program()> make_program;
   std::function<void(trace::Interpreter&, std::uint64_t)> poke;
 };
+
+// Names each case by its kernel. Without it gtest prints the raw bytes of
+// the struct, which hold code and heap addresses, so the discovered ctest
+// names changed with every build.
+void PrintTo(const KernelUnderTest& k, std::ostream* os) { *os << k.name; }
 
 class StaticSoundnessSweep
     : public ::testing::TestWithParam<KernelUnderTest> {};

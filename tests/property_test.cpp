@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "analysis/campaign.hpp"
@@ -118,6 +119,13 @@ struct LoopCase {
   std::size_t footprint_kb;
   bool randomized;
 };
+
+// Names each case by its footprint and platform. Without it gtest prints the
+// raw bytes of the struct, padding included, so the discovered ctest names
+// held uninitialised stack bytes and changed with every build.
+void PrintTo(const LoopCase& c, std::ostream* os) {
+  *os << c.footprint_kb << "KB-" << (c.randomized ? "RAND" : "DET");
+}
 
 class LoopBoundSweep : public ::testing::TestWithParam<LoopCase> {};
 
