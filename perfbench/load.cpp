@@ -188,14 +188,8 @@ enum Kind { kCold, kWarm, kAppend, kSessionAnalyze, kOther, kKinds };
 const char* const kKindNames[kKinds] = {"cold", "warm", "append",
                                         "session_analyze", "other"};
 
-/// One measured request: when it was sent and how long its reply took.
-struct Latency {
-  std::int64_t sent_ns = 0;
-  double ms = 0.0;
-};
-
 struct WorkerResult {
-  std::vector<Latency> latency_ms[kKinds];
+  std::vector<double> latency_ms[kKinds];
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::uint64_t window_requests = 0;
@@ -268,8 +262,7 @@ class Worker {
     if (timed) {
       ++result_.window_requests;
       result_.latency_ms[kind].push_back(
-          {t0.time_since_epoch().count(),
-           std::chrono::duration<double, std::milli>(t1 - t0).count()});
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
     return true;
   }
@@ -398,26 +391,6 @@ double Percentile(std::vector<double> v, double q) {
   return v[std::min(v.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
-/// Median of the p99s of consecutive slices of >= 1,000 requests each (at
-/// most 5), in send order: a disturbance of the host during one slice moves
-/// that slice's p99 only.
-double SlicedP99(std::vector<Latency> v) {
-  std::sort(v.begin(), v.end(), [](const Latency& a, const Latency& b) {
-    return a.sent_ns < b.sent_ns;
-  });
-  const std::size_t slices = std::clamp<std::size_t>(v.size() / 1000, 1, 5);
-  std::vector<double> p99s;
-  for (std::size_t i = 0; i < slices; ++i) {
-    std::vector<double> slice;
-    for (std::size_t j = i * v.size() / slices;
-         j < (i + 1) * v.size() / slices; ++j) {
-      slice.push_back(v[j].ms);
-    }
-    p99s.push_back(Percentile(std::move(slice), 0.99));
-  }
-  return Percentile(std::move(p99s), 0.50);
-}
-
 bool ParseOptions(int argc, char** argv, Options* o) {
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string key = argv[i];
@@ -522,12 +495,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total.window_requests));
   std::printf(", \"server_cpu_s\": %.4f", cpu_s);
   for (int k = 0; k < kKinds; ++k) {
-    std::vector<double> ms;
-    for (const Latency& l : total.latency_ms[k]) ms.push_back(l.ms);
-    std::printf(", \"%s\": {\"n\": %zu, \"p50_ms\": %.6f, \"p99_ms\": %.6f, "
-                "\"p99_whole_ms\": %.6f}",
-                kKindNames[k], ms.size(), Percentile(ms, 0.50),
-                SlicedP99(total.latency_ms[k]), Percentile(ms, 0.99));
+    std::printf(", \"%s\": {\"n\": %zu, \"p50_ms\": %.6f, \"p99_ms\": %.6f}",
+                kKindNames[k], total.latency_ms[k].size(),
+                Percentile(total.latency_ms[k], 0.50),
+                Percentile(total.latency_ms[k], 0.99));
   }
   std::printf(
       ", \"own_hits\": %llu, \"own_misses\": %llu, \"cache_field_mismatches\":"
