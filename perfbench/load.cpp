@@ -7,11 +7,20 @@
 //
 // Each of --connections threads owns one TCP connection and sends its next
 // request only after the previous reply arrived (closed loop), for
-// --seconds and at least kMinRounds rounds. A round on one connection is 39
-// requests:
-//   OPEN s; 12 x { cold ANALYZE of a new sample; APPEND chunk i of s;
-//   warm ANALYZE repeating one of the connection's last 8 cold samples };
-//   ANALYZE session=s; CLOSE s.
+// --seconds and at least kMinRounds rounds. A round on one connection is 51
+// requests, made of the three client shapes that docs/SERVICE.md documents
+// for spta_serve:
+//   OPEN s; 12 x { cold ANALYZE of a new sample (`spta_client analyze`);
+//   APPEND chunk i of s (`spta_client session`, 3,000 observations in
+//   its default chunks of 250); warm ANALYZE re-sending that cold sample
+//   (a resubmission, answered from the cache) }; ANALYZE session=s (the
+//   session's first analysis, a miss); 12 x ANALYZE session=s (the
+//   resident-service re-analysis by name, as in
+//   bench/micro_service_loadgen.cpp); CLOSE s.
+// The session's 12 APPENDs set the unit; every other measured kind gets as
+// many requests per round, so each kind's p50 rests on the same count. The
+// repo records no traffic ratio between the shapes; equal counts are a
+// choice.
 // Samples are 3,000 integer cycle counts drawn i.i.d. from a Gumbel(mu,
 // beta) distribution from --seed, so the analytic pWCET is known.
 //
@@ -47,8 +56,8 @@ namespace {
 constexpr double kMu = 1.0e6;
 constexpr double kBeta = 1.0e4;
 constexpr int kSampleSize = 3000;
-constexpr int kChunks = 12;  // APPENDs per session; also cold/warm per round.
-constexpr int kRing = 8;     // Recent cold samples a warm request repeats.
+// APPENDs per session; also the count of each other measured kind per round.
+constexpr int kChunks = 12;
 // Measured rounds per connection, at the least: with 2 connections, 1,008
 // requests of each kind, so every p99 has ten samples beyond it however
 // slow the host is.
@@ -184,9 +193,11 @@ class Connection {
   std::string buffer_;
 };
 
-enum Kind { kCold, kWarm, kAppend, kSessionAnalyze, kOther, kKinds };
-const char* const kKindNames[kKinds] = {"cold", "warm", "append",
-                                        "session_analyze", "other"};
+enum Kind { kCold, kWarm, kAppend, kSessionFirst, kSessionRepeat, kOther,
+            kKinds };
+const char* const kKindNames[kKinds] = {"cold",          "warm",
+                                        "append",        "session_first",
+                                        "session_repeat", "other"};
 
 struct WorkerResult {
   std::vector<double> latency_ms[kKinds];
@@ -221,7 +232,7 @@ class Worker {
       go_.arrive_and_drop();
       return;
     }
-    Round(/*timed=*/false);  // Warm-up: fills the ring, starts the caches.
+    Round(/*timed=*/false);  // Warm-up: starts the caches and the memo.
     ready_.arrive_and_wait();
     go_.arrive_and_wait();
     const auto deadline = Clock::time_point(
@@ -317,35 +328,34 @@ class Worker {
       chunks.push_back(session_sample.substr(pos, end - pos));
       pos = end;
     }
+    const std::string by_name = "session=" + session + "\n";
     std::string reply;
-    Send(kOther, "OPEN", "session=" + session + "\n", timed, &reply);
+    Send(kOther, "OPEN", by_name, timed, &reply);
     for (int i = 0; i < kChunks; ++i) {
       const std::string sample = MakeSample(options_.seed, index_, next_++);
-      const std::string cold_body =
+      const std::string body =
           "count=" + std::to_string(kSampleSize) + "\n" + sample;
-      if (Send(kCold, "ANALYZE", cold_body, timed, &reply)) {
+      if (Send(kCold, "ANALYZE", body, timed, &reply)) {
         CheckAnalyze(reply, /*expect_hit=*/false);
         if (timed) KeepForCheck(sample, reply);
-        ring_[ring_next_++ % kRing] = cold_body;
       }
       Send(kAppend, "APPEND",
            "count=" + std::to_string(kSampleSize / kChunks) +
                " session=" + session + "\n" + chunks[static_cast<std::size_t>(i)],
            timed, &reply);
-      const std::size_t filled = std::min<std::size_t>(ring_next_, kRing);
-      if (filled > 0) {
-        const std::string& repeat =
-            ring_[(ring_next_ - 1 - (i * 5 + round_) % filled) % kRing];
-        if (Send(kWarm, "ANALYZE", repeat, timed, &reply)) {
-          CheckAnalyze(reply, /*expect_hit=*/true);
-        }
+      if (Send(kWarm, "ANALYZE", body, timed, &reply)) {
+        CheckAnalyze(reply, /*expect_hit=*/true);
       }
     }
-    if (Send(kSessionAnalyze, "ANALYZE", "session=" + session + "\n", timed,
-             &reply)) {
+    if (Send(kSessionFirst, "ANALYZE", by_name, timed, &reply)) {
       CheckAnalyze(reply, /*expect_hit=*/false);
     }
-    Send(kOther, "CLOSE", "session=" + session + "\n", timed, &reply);
+    for (int i = 0; i < kChunks; ++i) {
+      if (Send(kSessionRepeat, "ANALYZE", by_name, timed, &reply)) {
+        CheckAnalyze(reply, /*expect_hit=*/true);
+      }
+    }
+    Send(kOther, "CLOSE", by_name, timed, &reply);
   }
 
   const Options& options_;
@@ -358,8 +368,6 @@ class Worker {
   bool broken_ = false;
   std::uint64_t round_ = 0;
   std::uint64_t next_ = 0;
-  std::string ring_[kRing];
-  std::size_t ring_next_ = 0;
   int kept_ = 0;
 };
 

@@ -42,19 +42,17 @@ CONNECTIONS = 2
 SHARDS = 2
 
 # Every workload runs both products of the repo, a TVCA campaign to a pWCET
-# curve and spta_serve under a closed-loop request mix, so that it reports
-# every end-to-end metric. The workloads differ in the campaign's inputs
-# and in how the measured time is split between the two phases.
+# curve and spta_serve under the same closed-loop request mix, so that it
+# reports every end-to-end metric. The workloads differ in the campaign's
+# inputs.
 WORKLOADS = {
     # Every run draws a fresh scenario: frame building dominates.
-    "tvca_fresh": {"scenarios": 0, "round_runs": 150, "campaign_share": 0.6},
+    "tvca_fresh": {"scenarios": 0, "round_runs": 150},
     # An 8-scenario test-vector suite: frames are built once, the
     # simulator dominates.
-    "tvca_suite": {"scenarios": 8, "round_runs": 800, "campaign_share": 0.6},
-    # Mostly service traffic; a short fresh campaign keeps the campaign
-    # figures defined.
-    "serve_mixed": {"scenarios": 0, "round_runs": 150, "campaign_share": 0.3},
+    "tvca_suite": {"scenarios": 8, "round_runs": 800},
 }
+CAMPAIGN_SHARE = 0.6      # Of --seconds; the serve phase has the rest.
 
 # TvcaConfig's independent mode flags: path bit 0 calibration (0.2),
 # bit 1 maneuver-x (0.3), bit 2 maneuver-y (0.3).
@@ -63,6 +61,8 @@ PREFIX_RUNS = 24          # Rows re-run at --jobs 1 (and through the batch kerne
 GUMBEL_TOLERANCE = 0.20   # |pWCET@1e-12 (MLE) - own moment fit| / own fit.
 CHECK_SAMPLES = 4         # Served analyses re-done by spta_cli analyze.
 SHUTDOWN_WAIT_S = 20.0
+# Measured request kinds of the serve phase (perfbench_load's JSON keys).
+SERVE_KINDS = ("cold", "warm", "append", "session_repeat")
 
 
 def log(msg):
@@ -122,6 +122,17 @@ def timed(cmd):
     ru = proc.rusage
     return (wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0,
             proc.returncode, stdout, stderr)
+
+
+def host_steal_s():
+    """CPU time the hypervisor gave to other guests, summed over this host's
+    CPUs (/proc/stat); None where it is not reported."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def round_seed(seed, k):
@@ -235,25 +246,39 @@ def campaign_cmd(w, seed, runs, jobs, out):
 # Campaign phase
 
 
+def cold_starts(w, seed, tmp):
+    """One cold set-up of each program, each in a new process: a one-run
+    campaign of the workload's kind, and spawn of spta_serve to its first
+    answered PING. Returns (campaign s, server s, server drained)."""
+    camp = timed(campaign_cmd(w, seed, 1, 1, tmp("setup.csv")))
+    if camp[3] != 0:
+        raise SystemExit("perfbench: one-run campaign failed: " + camp[5])
+    server = Server(tmp)
+    server.stop()
+    return camp[0], server.setup_s, server.clean
+
+
 def campaign_phase(w, seed, budget_s, tmp):
-    """Whole rounds of campaign + analyze until budget_s has passed."""
-    # One cold set-up: a one-run campaign of the same workload.
-    setup = timed(campaign_cmd(w, round_seed(seed, 0), 1, 1, tmp("setup.csv")))
-    if setup[3] != 0:
-        raise SystemExit("perfbench: one-run campaign failed: " + setup[5])
+    """Whole rounds of campaign + analyze until budget_s has passed, each
+    after one cold start of each program. The host's speed drifts over
+    seconds, so the cold starts are spread over the phase, not taken back
+    to back."""
     rounds = []
     start = time.perf_counter()
     while not rounds or time.perf_counter() - start < budget_s:
         k = len(rounds)
+        setup = cold_starts(w, round_seed(seed, k), tmp)
         csv = tmp("round%d.csv" % k)
         camp = timed(campaign_cmd(w, round_seed(seed, k), w["round_runs"],
                                   JOBS, csv))
         ana = timed([CLI, "analyze", "--input", csv, "--per-path"])
-        rounds.append({"csv": csv, "camp": camp, "ana": ana,
+        rounds.append({"csv": csv, "camp": camp, "ana": ana, "setup": setup,
                        "seed": round_seed(seed, k)})
     runs = w["round_runs"]
     metrics = {
-        "setup_s": setup[0],
+        # Both programs' cold set-up, each the median over the rounds.
+        "setup_s": statistics.median(r["setup"][0] for r in rounds) +
+                   statistics.median(r["setup"][1] for r in rounds),
         "campaign_runs_per_s": statistics.median(
             runs / (r["camp"][0] + r["ana"][0]) for r in rounds),
         "campaign_cpu_ms_per_run": statistics.median(
@@ -265,18 +290,18 @@ def campaign_phase(w, seed, budget_s, tmp):
 
 def check_campaign(w, rounds, tmp):
     runs = w["round_runs"]
-    failed = 0
     path_counts = [0] * 8
     total = 0
     worst_dev = 0.0
     extreme = []
     for k, r in enumerate(rounds):
         what = "round %d" % k
+        if not r["setup"][2]:
+            raise Failure("%s: spta_serve started for set-up did not drain "
+                          "and exit cleanly" % what)
         if r["camp"][3] != 0:
-            log("%s: campaign exited %d: %s" % (what, r["camp"][3],
-                                                r["camp"][5][-300:]))
-            failed += runs
-            continue
+            raise Failure("%s: campaign exited %d: %s" %
+                          (what, r["camp"][3], r["camp"][5][-300:]))
         _, rows = read_csv(r["csv"])
         if len(rows) != runs:
             raise Failure("%s: %d rows, expected %d" % (what, len(rows), runs))
@@ -356,7 +381,7 @@ def check_campaign(w, rounds, tmp):
             if not binomial_ok(path_counts[path], total, p):
                 raise Failure("path %d: %d of %d runs, expected p=%.3f" %
                               (path, path_counts[path], total, p))
-    return failed, worst_dev
+    return worst_dev
 
 
 # --------------------------------------------------------------------------
@@ -451,11 +476,6 @@ def serve_phase(seed, seconds, tmp, extra=()):
 
 def serve_metrics(server, load):
     return {
-        "setup_s": server.setup_s,
-        "requests_per_s": load["window_requests"] / load["window_s"],
-        "analyze_cold_p50_ms": load["cold"]["p50_ms"],
-        "analyze_warm_p50_ms": load["warm"]["p50_ms"],
-        "append_p50_ms": load["append"]["p50_ms"],
         "serve_cpu_us_per_request":
             1e6 * load["server_cpu_s"] / load["window_requests"],
         "serve_peak_rss_mb": server.peak_rss_mb,
@@ -466,9 +486,9 @@ def check_serve(server, load, tmp):
     if not server.clean:
         raise Failure("spta_serve did not drain and exit cleanly")
     if load["failed"]:
-        log("serve: %d requests failed, first: %s" % (load["failed"],
-                                                      load["first_error"]))
-    for kind in ("cold", "warm", "append"):
+        raise Failure("serve: %d requests failed, first: %s" %
+                      (load["failed"], load["first_error"]))
+    for kind in SERVE_KINDS:
         if load[kind]["n"] < 1000:
             raise Failure("only %d %s requests measured" %
                           (load[kind]["n"], kind))
@@ -563,13 +583,13 @@ def traced_run(w, seed, seconds, tmp):
     layers["service.queue_wait_ms_p50"], waits = \
         server_queue_wait_p50_ms(trace_dir)
     warm_us = 1000.0 * load["warm"]["p50_ms"]
-    # A warm repeat resends bytes the client already holds and is answered
-    # without parsing its rows, so encode and payload parse are not on its
-    # path.
+    # The p50 warm repeat resends bytes the client already holds and is a
+    # hit in the event loop's memo, which answers before any shard parses
+    # its rows or probes its result cache: encode, payload parse and the
+    # shard-side cache probe are not on its path.
     layers["service.transport_us_per_request"] = warm_us - sum(
         layers[k] for k in ("service.parse_us_per_request",
                             "service.route_us_per_request",
-                            "service.cache_probe_us",
                             "service.render_us_per_response",
                             "service.decode_us_per_response"))
     log("service: warm p50 %.1f us client-observed; %d queue waits traced" %
@@ -598,6 +618,7 @@ def main():
         ap.error("need --seed >= 0 and --seconds > 0")
     w = WORKLOADS[args.workload]
     tmp = None
+    t0, steal0 = time.perf_counter(), host_steal_s()
     try:
         if args.trace:
             tmp = Tmp(args.workload)
@@ -609,42 +630,49 @@ def main():
             build(["perfbench_load"])
             tmp = Tmp(args.workload)
             rounds, camp = campaign_phase(
-                w, args.seed, args.seconds * w["campaign_share"], tmp)
+                w, args.seed, args.seconds * CAMPAIGN_SHARE, tmp)
             server, load = serve_phase(
-                args.seed, args.seconds * (1 - w["campaign_share"]), tmp)
-            serve = serve_metrics(server, load)
+                args.seed, args.seconds * (1 - CAMPAIGN_SHARE), tmp)
             values = dict(camp)
-            values.update(serve)
-            # Set-up of the workload: both programs' cold starts.
-            values["setup_s"] = camp["setup_s"] + serve["setup_s"]
+            values.update(serve_metrics(server, load))
             correct = True
-            camp_failed = 0
             try:
-                camp_failed, dev = check_campaign(w, rounds, tmp)
+                dev = check_campaign(w, rounds, tmp)
                 log("campaign: %d rounds of %d runs; worst pWCET@1e-12 "
                     "distance to own moment fit %.2f%%" %
                     (len(rounds), w["round_runs"], 100 * dev))
                 check_serve(server, load, tmp)
-                # p99s are logged, not reported: they follow the host's
-                # steal time (README.md).
-                log("serve: p99 cold %.3f ms, warm %.3f ms, append %.3f ms" %
-                    (load["cold"]["p99_ms"], load["warm"]["p99_ms"],
-                     load["append"]["p99_ms"]))
-                log("serve: %d requests, %d usable pWCETs within %.0f%% of "
-                    "the analytic quantile (worst %.2f%%), %d unusable" %
-                    (load["attempted"], load["quantile_checked"],
+                # Latencies are logged, not reported: they follow the
+                # host's steal time (README.md).
+                log("serve: p50/p99 ms: " + ", ".join(
+                    "%s %.4f/%.4f" % (kind, load[kind]["p50_ms"],
+                                      load[kind]["p99_ms"])
+                    for kind in SERVE_KINDS))
+                log("serve: %d requests (%.1f/s over the whole window), %d "
+                    "usable pWCETs within %.0f%% of the analytic quantile "
+                    "(worst %.2f%%), %d unusable" %
+                    (load["attempted"],
+                     load["window_requests"] / load["window_s"],
+                     load["quantile_checked"],
                      100 * load["tolerance"], 100 * load["worst_rel_dev"],
                      load["unusable"]))
             except Failure as e:
                 log("check failed: %s" % e)
                 correct = False
             attempted = len(rounds) * w["round_runs"] + load["attempted"]
-            failed = camp_failed + load["failed"]
+            failed = load["failed"] + sum(
+                w["round_runs"] for r in rounds if r["camp"][3] != 0)
             metrics = {k: {"value": values[k], "unit": u}
                        for k, u in declared_metrics("end_to_end").items()}
     finally:
         if tmp is not None:
             tmp.remove()
+    steal1 = host_steal_s()
+    if steal0 is not None and steal1 is not None:
+        # Figures move with the host's steal time; see README.md.
+        log("host steal time: %.2f of %d CPUs over the run" %
+            ((steal1 - steal0) / (time.perf_counter() - t0),
+             os.cpu_count() or 1))
     print(json.dumps({"correct": bool(correct), "attempted": int(attempted),
                       "failed": int(failed), "metrics": metrics}))
     return 0
